@@ -2,8 +2,7 @@
 //!
 //! Experiment harness regenerating every table and figure of the paper
 //! (see DESIGN.md §4 for the experiment index). The binaries in
-//! `src/bin/` print paper-style markdown tables; the criterion benches in
-//! `benches/` measure component throughput.
+//! `src/bin/` print paper-style markdown tables.
 //!
 //! ## Scale
 //!

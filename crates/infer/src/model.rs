@@ -1,12 +1,12 @@
 //! Plan-driven conversion of a trained [`Encoder`] into an integer
 //! program, and the executor that runs it.
 //!
-//! Conversion walks the symbolic [`Plan`] of the encoder's architecture
-//! (the same plan `cq-models` builds alongside every real network, so
-//! layer names match the parameter set exactly), consuming batch-norm
-//! running statistics positionally in plan order — which a
-//! `cq-models` invariant guarantees equals `Encoder::state_tensors()`
-//! order. Every batch norm that directly follows a conv / depthwise /
+//! Conversion walks the symbolic [`Plan`] of the encoder's architecture —
+//! the plan the runtime encoder itself is instantiated from
+//! (`Plan::instantiate`), so layer names match the parameter set exactly
+//! — consuming batch-norm running statistics positionally in plan order,
+//! which equals `Encoder::state_tensors()` order by construction (pinned
+//! by a `cq-models` test for every architecture and head). Every batch norm that directly follows a conv / depthwise /
 //! linear layer is folded into that layer's *per-channel rescale*
 //! (gain `gamma/sqrt(var+eps)`, shift absorbing bias/mean/beta) rather
 //! than its weights: weight-space folding would requantize on a grid

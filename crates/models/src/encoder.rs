@@ -8,7 +8,7 @@ use cq_tensor::{read_tensor, write_tensor, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{build_mobilenet_v2, build_resnet, mlp_head, Arch, HeadConfig};
+use crate::Arch;
 
 /// Build-time description of an [`Encoder`]; kept by the encoder so BYOL
 /// targets and checkpoints can reconstruct the same architecture.
@@ -103,33 +103,27 @@ impl Encoder {
     ///
     /// The configuration is first validated symbolically (see
     /// [`crate::plan::validate_encoder`]); an invalid stack is rejected
-    /// with a layer-attributed error before any weight is allocated.
+    /// with a layer-attributed error before any weight is allocated. The
+    /// validated plan is then instantiated.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Param`] describing the offending layer when the
     /// configuration is invalid (zero width, bad projector dimensions).
     pub fn new(cfg: &EncoderConfig, seed: u64) -> Result<Self, NnError> {
-        crate::plan::validate_encoder(cfg)
+        let (plan, feat_dim, proj_dim) = crate::plan::validate_encoder(cfg)
             .map_err(|e| NnError::Param(format!("invalid encoder config: {e}")))?;
         // cq-allow(det-rng-ctor): one-shot weight-init stream derived from the caller's seed, consumed before training
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = ParamSet::new();
-        let (backbone, feat_dim) = match cfg.arch {
-            Arch::MobileNetV2 => build_mobilenet_v2(cfg.width, &mut params, &mut rng),
-            _ => build_resnet(cfg.arch, cfg.width, &mut params, &mut rng),
-        };
-        let (projector, proj_dim) = match cfg.proj {
-            Some((hidden, out)) => {
-                let hc = if cfg.proj_bn {
-                    HeadConfig::byol(feat_dim, hidden, out)
-                } else {
-                    HeadConfig::simclr(feat_dim, hidden, out)
-                };
-                (Some(mlp_head(&hc, "proj", &mut params, &mut rng)), out)
-            }
-            None => (None, feat_dim),
-        };
+        let mut backbone = plan.instantiate(&mut params, &mut rng);
+        // The encoder plan is the backbone followed by the `proj.*` layers.
+        let n_backbone = plan
+            .layers()
+            .iter()
+            .take_while(|l| !l.name.starts_with("proj."))
+            .count();
+        let projector = cfg.proj.map(|_| backbone.split_off(n_backbone));
         Ok(Encoder {
             cfg: *cfg,
             params,
@@ -379,10 +373,6 @@ impl Encoder {
         let mut cnt = [0u8; 4];
         r.read_exact(&mut cnt)?;
         let n = u32::from_le_bytes(cnt) as usize;
-        let mut loaded = Vec::with_capacity(n);
-        for _ in 0..n {
-            loaded.push(read_tensor(&mut r).map_err(NnError::Tensor)?);
-        }
         let mut state = enc.state_tensors_mut();
         if state.len() != n {
             return Err(NnError::Io(format!(
@@ -390,7 +380,8 @@ impl Encoder {
                 state.len()
             )));
         }
-        for (dst, src) in state.iter_mut().zip(&loaded) {
+        for dst in state.iter_mut() {
+            let src = read_tensor(&mut r).map_err(NnError::Tensor)?;
             if dst.dims() != src.dims() {
                 return Err(NnError::Io("state tensor shape mismatch".into()));
             }
@@ -533,6 +524,31 @@ mod tests {
     #[test]
     fn load_rejects_garbage() {
         assert!(Encoder::load(&b"NOPE"[..]).is_err());
+    }
+
+    /// Truncation at every byte offset and a corrupt state count both
+    /// yield an error, never a panic or an allocation sized by the file.
+    #[test]
+    fn load_rejects_truncated_and_corrupt_count() {
+        let enc = Encoder::new(
+            &EncoderConfig::new(Arch::ResNet18, 1).with_byol_proj(4, 2),
+            8,
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        enc.save(&mut buf).unwrap();
+        for cut in 0..buf.len() {
+            assert!(Encoder::load(&buf[..cut]).is_err(), "truncated at {cut}");
+        }
+        // magic, arch + proj_bn tags, then width and projector dims
+        let header = 4 + 2 + 3 * 8;
+        let mut params = Vec::new();
+        enc.params().save(&mut params).unwrap();
+        let count_at = header + params.len();
+        let n = enc.state_tensors().len() as u32;
+        assert_eq!(buf[count_at..count_at + 4], n.to_le_bytes());
+        buf[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Encoder::load(buf.as_slice()).is_err());
     }
 
     #[test]

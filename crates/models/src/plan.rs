@@ -1,25 +1,122 @@
-//! Symbolic [`Plan`]s mirroring every backbone/head this crate builds.
+//! The architecture of every backbone and head this crate builds, as
+//! symbolic [`Plan`]s.
 //!
-//! Each builder here follows the corresponding constructor
-//! ([`crate::build_resnet`], [`crate::build_mobilenet_v2`],
-//! [`crate::mlp_head`]) layer for layer, so [`Plan::infer`],
-//! [`Plan::param_count`] and [`Plan::flops`] describe the real network
-//! without allocating a tensor. [`crate::Encoder::new`] validates its
-//! configuration against [`encoder_plan`] before any weight is
-//! initialised, and the `cq-check` binary runs the same pass over every
-//! built-in experiment configuration.
+//! A plan is the only description of a network: [`crate::Encoder::new`]
+//! and the BYOL/SimSiam predictors instantiate their layers from it
+//! ([`Plan::instantiate`]), [`Plan::infer`], [`Plan::param_count`] and
+//! [`Plan::flops`] analyse it without allocating a tensor, the `cq-check`
+//! binary validates it for every built-in experiment configuration, and
+//! `cq-infer` walks it to convert a trained encoder to an integer
+//! program. Layer names are the parameter-name prefixes of the runtime
+//! network.
 
 use cq_nn::spec::{LayerKind, Plan, SpecError};
 use cq_tensor::Conv2dSpec;
 
-use crate::{Arch, EncoderConfig, HeadConfig};
+use crate::EncoderConfig;
+
+/// Backbone architecture identifiers (the paper's six networks).
+///
+/// ResNet-18/34 use the 4-stage BasicBlock layout of the ImageNet family
+/// (block counts [2,2,2,2] / [3,4,6,3]) with a 3×3 stem (no stem pooling —
+/// inputs here are small). ResNet-74/110/152 use the classic 3-stage CIFAR
+/// layout `6n+2` with `n` = 12 / 18 / 25. MobileNetV2 uses inverted
+/// residual blocks with a CIFAR-style stem.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Arch {
+    /// 4-stage BasicBlock ResNet, blocks [2,2,2,2].
+    ResNet18,
+    /// 4-stage BasicBlock ResNet, blocks [3,4,6,3].
+    ResNet34,
+    /// 3-stage CIFAR ResNet, 6·12+2 layers.
+    ResNet74,
+    /// 3-stage CIFAR ResNet, 6·18+2 layers.
+    ResNet110,
+    /// 3-stage CIFAR ResNet, 6·25+2 layers.
+    ResNet152,
+    /// MobileNetV2 with inverted residual blocks.
+    MobileNetV2,
+}
+
+impl Arch {
+    /// All architectures evaluated in the paper, in table order.
+    pub fn all() -> [Arch; 6] {
+        [
+            Arch::ResNet18,
+            Arch::ResNet34,
+            Arch::ResNet74,
+            Arch::ResNet110,
+            Arch::ResNet152,
+            Arch::MobileNetV2,
+        ]
+    }
+
+    /// Human-readable name matching the paper's tables.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Arch::ResNet18 => "ResNet-18",
+            Arch::ResNet34 => "ResNet-34",
+            Arch::ResNet74 => "ResNet-74",
+            Arch::ResNet110 => "ResNet-110",
+            Arch::ResNet152 => "ResNet-152",
+            Arch::MobileNetV2 => "MobileNetV2",
+        }
+    }
+}
+
+impl std::fmt::Display for Arch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Configuration of an MLP projection or prediction head.
+///
+/// SimCLR (§3.4: "adding a projection head after the encoder") uses a
+/// 2-layer MLP; BYOL additionally uses a prediction head on the online
+/// network. Both are the same shape: `Linear → [BN] → ReLU → Linear`
+/// (see [`mlp_head_plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeadConfig {
+    /// Input feature dimension.
+    pub in_dim: usize,
+    /// Hidden width.
+    pub hidden: usize,
+    /// Output dimension.
+    pub out_dim: usize,
+    /// Insert BatchNorm1d after the first linear (BYOL-style head).
+    pub batch_norm: bool,
+}
+
+impl HeadConfig {
+    /// SimCLR-style head (no batch norm).
+    pub fn simclr(in_dim: usize, hidden: usize, out_dim: usize) -> Self {
+        HeadConfig {
+            in_dim,
+            hidden,
+            out_dim,
+            batch_norm: false,
+        }
+    }
+
+    /// BYOL-style head (batch norm after the first linear).
+    pub fn byol(in_dim: usize, hidden: usize, out_dim: usize) -> Self {
+        HeadConfig {
+            in_dim,
+            hidden,
+            out_dim,
+            batch_norm: true,
+        }
+    }
+}
 
 /// Nominal input shape used when validating encoder configurations
 /// (CIFAR-sized, batch 2 so BatchNorm statistics are well defined).
 pub const NOMINAL_INPUT: [usize; 4] = [2, 3, 32, 32];
 
-/// Plan of a [`crate::BasicBlock`]: residual main/skip branches followed
-/// by the output ReLU.
+/// The standard two-conv residual block with an identity skip, or a 1×1
+/// projection skip when the shape changes, followed by the output ReLU
+/// (which fuses with the residual join).
 fn basic_block_plan(name: &str, in_ch: usize, out_ch: usize, stride: usize) -> LayerKind {
     let mut main = Plan::new();
     main.push(
@@ -72,7 +169,11 @@ fn basic_block_plan(name: &str, in_ch: usize, out_ch: usize, stride: usize) -> L
     LayerKind::Block(block)
 }
 
-/// Plan of a [`crate::InvertedResidual`] block.
+/// MobileNetV2 inverted residual block: `expand 1×1 conv (t×) → BN →
+/// ReLU6 → depthwise 3×3 → BN → ReLU6 → project 1×1 conv → BN`, with an
+/// identity residual when the stride is 1 and the channel count is
+/// unchanged. The expansion stage is omitted when `t == 1` (the first
+/// block), exactly as in the reference network.
 fn inverted_residual_plan(
     name: &str,
     in_ch: usize,
@@ -130,7 +231,11 @@ fn inverted_residual_plan(
     }
 }
 
-/// Plan of [`crate::build_resnet`], returning `(plan, feat_dim)`.
+/// Plan of a ResNet backbone `[N, 3, H, W] -> [N, feat_dim]`, returning
+/// `(plan, feat_dim)`.
+///
+/// `width` is the first-stage channel count (the paper's full-scale models
+/// correspond to width 64 / 16; the scaled protocol uses 4–16).
 ///
 /// # Errors
 ///
@@ -179,7 +284,13 @@ pub fn resnet_plan(arch: Arch, width: usize) -> Result<(Plan, usize), SpecError>
     Ok((plan, in_ch))
 }
 
-/// Plan of [`crate::build_mobilenet_v2`], returning `(plan, feat_dim)`.
+/// Plan of a width-scaled MobileNetV2 backbone
+/// `[N, 3, H, W] -> [N, feat_dim]`, returning `(plan, feat_dim)`.
+///
+/// Stage table (scaled-down version of the reference network, preserving
+/// the expansion-factor pattern): stem 3×3 conv, then inverted residuals
+/// `(t, c, n, s)` = (1, w, 1, 1), (6, 2w, 2, 2), (6, 4w, 2, 2), followed by
+/// a 1×1 conv to `8w` features and global average pooling.
 ///
 /// # Errors
 ///
@@ -239,7 +350,8 @@ pub fn backbone_plan(arch: Arch, width: usize) -> Result<(Plan, usize), SpecErro
     }
 }
 
-/// Plan of [`crate::mlp_head`] (`Linear → [BN] → ReLU → Linear`).
+/// Plan of the `Linear → [BN] → ReLU → Linear` head described by `cfg`,
+/// with layers named `<name>.fc1`, `<name>.bn`, `<name>.relu`, `<name>.fc2`.
 pub fn mlp_head_plan(cfg: &HeadConfig, name: &str) -> Plan {
     let mut plan = Plan::new();
     plan.push(
@@ -302,42 +414,200 @@ pub fn encoder_plan(cfg: &EncoderConfig) -> Result<(Plan, usize, usize), SpecErr
     Ok((plan, feat, proj_dim))
 }
 
-/// Statically validates an encoder configuration: builds its plan and
-/// interprets it on [`NOMINAL_INPUT`], returning `(feat_dim, proj_dim)`.
+/// Statically validates an encoder configuration: builds its plan with
+/// [`encoder_plan`] and interprets it on [`NOMINAL_INPUT`], returning the
+/// validated `(plan, feat_dim, proj_dim)`.
 ///
 /// # Errors
 ///
 /// Returns the first layer-attributed [`SpecError`] — this is what makes
 /// [`crate::Encoder::new`] reject invalid configurations before touching
 /// any weights.
-pub fn validate_encoder(cfg: &EncoderConfig) -> Result<(usize, usize), SpecError> {
+pub fn validate_encoder(cfg: &EncoderConfig) -> Result<(Plan, usize, usize), SpecError> {
     let (plan, feat, proj) = encoder_plan(cfg)?;
     plan.infer(&NOMINAL_INPUT)?;
-    Ok((feat, proj))
+    Ok((plan, feat, proj))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_mobilenet_v2, build_resnet, Encoder};
-    use cq_nn::{ForwardCtx, Layer, ParamSet};
+    use crate::Encoder;
+    use cq_nn::{ForwardCtx, Layer, ParamSet, Sequential};
     use cq_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Plans must agree with the real networks on parameter count and
+    fn instantiate(plan: &Plan, seed: u64) -> (Sequential, ParamSet) {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = plan.instantiate(&mut ps, &mut rng);
+        (net, ps)
+    }
+
+    /// A one-layer plan holding `kind` under the name `b`.
+    fn single(kind: LayerKind) -> Plan {
+        let mut p = Plan::new();
+        p.push("b", kind);
+        p
+    }
+
+    #[test]
+    fn arch_names_match_paper() {
+        assert_eq!(Arch::ResNet18.name(), "ResNet-18");
+        assert_eq!(Arch::all().len(), 6);
+        assert_eq!(Arch::MobileNetV2.to_string(), "MobileNetV2");
+    }
+
+    #[test]
+    fn basic_block_identity_skip_shapes() {
+        let (mut blk, ps) = instantiate(&single(basic_block_plan("b", 4, 4, 1)), 0);
+        let x = Tensor::ones(&[2, 4, 6, 6]);
+        let (y, _) = blk.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+        assert_eq!(y.dims(), &[2, 4, 6, 6]);
+        assert_eq!(blk.state_tensors().len(), 4); // 2 BNs x (mean, var)
+    }
+
+    #[test]
+    fn basic_block_projection_skip_shapes() {
+        let (mut blk, ps) = instantiate(&single(basic_block_plan("b", 4, 8, 2)), 1);
+        let x = Tensor::ones(&[2, 4, 6, 6]);
+        let (y, _) = blk.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+        assert_eq!(y.dims(), &[2, 8, 3, 3]);
+        assert_eq!(blk.state_tensors().len(), 6); // 3 BNs
+    }
+
+    #[test]
+    fn basic_block_gradcheck_identity() {
+        let (blk, ps) = instantiate(&single(basic_block_plan("b", 3, 3, 1)), 2);
+        cq_nn::gradcheck::check_layer_soft(blk, ps, &[2, 3, 4, 4], &ForwardCtx::train(), 8e-2);
+    }
+
+    #[test]
+    fn basic_block_gradcheck_projection() {
+        let (blk, ps) = instantiate(&single(basic_block_plan("b", 3, 4, 2)), 3);
+        cq_nn::gradcheck::check_layer_soft(blk, ps, &[2, 3, 4, 4], &ForwardCtx::train(), 8e-2);
+    }
+
+    #[test]
+    fn inverted_residual_shapes() {
+        let kind = inverted_residual_plan("b", 4, 4, 6, 1);
+        assert!(matches!(kind, LayerKind::Residual { skip: None, .. }));
+        let (mut ir, ps) = instantiate(&single(kind), 0);
+        let x = Tensor::ones(&[2, 4, 6, 6]);
+        let (y, _) = ir.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+        assert_eq!(y.dims(), &[2, 4, 6, 6]);
+
+        let kind = inverted_residual_plan("b", 4, 8, 6, 2);
+        assert!(matches!(kind, LayerKind::Block(_)));
+        let (mut ir2, ps) = instantiate(&single(kind), 0);
+        let (y2, _) = ir2.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+        assert_eq!(y2.dims(), &[2, 8, 3, 3]);
+    }
+
+    #[test]
+    fn t1_block_has_no_expand_stage() {
+        let (_, ps) = instantiate(&single(inverted_residual_plan("b", 4, 4, 1, 1)), 1);
+        // dw weight + 2 bn(gamma,beta) + project + bn = 1 + 2 + 1 + 2
+        assert_eq!(ps.len(), 6);
+        assert!(ps.iter().all(|(_, name, _)| !name.contains("expand")));
+    }
+
+    #[test]
+    fn inverted_residual_gradcheck() {
+        let (ir, ps) = instantiate(&single(inverted_residual_plan("b", 3, 3, 2, 1)), 2);
+        cq_nn::gradcheck::check_layer_soft(ir, ps, &[2, 3, 4, 4], &ForwardCtx::train(), 8e-2);
+    }
+
+    #[test]
+    fn inverted_residual_gradcheck_strided_no_res() {
+        let (ir, ps) = instantiate(&single(inverted_residual_plan("b", 3, 4, 2, 2)), 3);
+        cq_nn::gradcheck::check_layer_soft(ir, ps, &[2, 3, 4, 4], &ForwardCtx::train(), 8e-2);
+    }
+
+    #[test]
+    fn resnet18_shapes_and_feat_dim() {
+        let (plan, dim) = backbone_plan(Arch::ResNet18, 4).unwrap();
+        assert_eq!(dim, 32);
+        let (mut net, ps) = instantiate(&plan, 4);
+        let x = Tensor::zeros(&[2, 3, 16, 16]);
+        let (y, _) = net.forward(&ps, &x, &ForwardCtx::eval()).unwrap();
+        assert_eq!(y.dims(), &[2, 32]);
+    }
+
+    #[test]
+    fn cifar_resnet_depth_counts() {
+        // ResNet-74 = 6*12+2: stem conv + 36 blocks*2 convs + fc (not here)
+        let (plan, dim) = backbone_plan(Arch::ResNet74, 4).unwrap();
+        assert_eq!(dim, 16);
+        let (_, ps) = instantiate(&plan, 5);
+        // weight params: stem conv + stem bn(2) + blocks
+        // 36 blocks, each 2 convs + 2 bns(2 each) = 6 params, plus 2
+        // projection blocks with 1x1 conv + bn = +3 each.
+        let expected = 1 + 2 + 36 * 6 + 2 * 3;
+        assert_eq!(ps.len(), expected);
+    }
+
+    #[test]
+    fn backbones_backward_run_and_produce_finite_grads() {
+        for arch in [Arch::ResNet18, Arch::MobileNetV2] {
+            let (plan, dim) = backbone_plan(arch, 2).unwrap();
+            let (mut net, ps) = instantiate(&plan, 6);
+            let mut rng = StdRng::seed_from_u64(6);
+            let x = Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
+            let (_y, cache) = net.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+            let mut gs = ps.zero_grads();
+            let dy = Tensor::ones(&[2, dim]);
+            let dx = net.backward(&ps, &cache, &dy, &mut gs).unwrap();
+            assert_eq!(dx.dims(), x.dims(), "{arch}");
+            assert!(gs.is_finite(), "{arch}");
+            assert!(gs.global_norm() > 0.0, "{arch}");
+        }
+    }
+
+    #[test]
+    fn mobilenet_shapes() {
+        let (plan, dim) = mobilenet_v2_plan(4).unwrap();
+        assert_eq!(dim, 32);
+        let (mut net, ps) = instantiate(&plan, 4);
+        let x = Tensor::zeros(&[2, 3, 16, 16]);
+        let (y, _) = net.forward(&ps, &x, &ForwardCtx::eval()).unwrap();
+        assert_eq!(y.dims(), &[2, 32]);
+    }
+
+    #[test]
+    fn simclr_head_shapes() {
+        let (mut head, ps) = instantiate(&mlp_head_plan(&HeadConfig::simclr(8, 16, 4), "proj"), 0);
+        let (z, _) = head
+            .forward(&ps, &Tensor::ones(&[3, 8]), &ForwardCtx::eval())
+            .unwrap();
+        assert_eq!(z.dims(), &[3, 4]);
+        assert!(head.state_tensors().is_empty());
+    }
+
+    #[test]
+    fn byol_head_has_bn_state() {
+        let (mut head, ps) = instantiate(&mlp_head_plan(&HeadConfig::byol(8, 16, 4), "proj"), 1);
+        assert_eq!(head.state_tensors().len(), 2);
+        let (z, _) = head
+            .forward(&ps, &Tensor::ones(&[3, 8]), &ForwardCtx::eval())
+            .unwrap();
+        assert_eq!(z.dims(), &[3, 4]);
+    }
+
+    #[test]
+    fn head_gradcheck() {
+        let (head, ps) = instantiate(&mlp_head_plan(&HeadConfig::simclr(5, 7, 3), "proj"), 2);
+        cq_nn::gradcheck::check_layer(head, ps, &[4, 5], &ForwardCtx::train(), 5e-2);
+    }
+
+    /// Instantiated networks agree with their plans on parameter count and
     /// output shape — for every architecture the paper evaluates.
     #[test]
-    fn plans_match_real_networks_for_every_arch() {
+    fn instantiated_networks_match_plans_for_every_arch() {
         for arch in Arch::all() {
-            let mut ps = ParamSet::new();
-            let mut rng = StdRng::seed_from_u64(0);
-            let (mut net, feat) = match arch {
-                Arch::MobileNetV2 => build_mobilenet_v2(2, &mut ps, &mut rng),
-                _ => build_resnet(arch, 2, &mut ps, &mut rng),
-            };
-            let (plan, plan_feat) = backbone_plan(arch, 2).unwrap();
-            assert_eq!(plan_feat, feat, "{arch}: feature dim");
+            let (plan, _) = backbone_plan(arch, 2).unwrap();
+            let (mut net, ps) = instantiate(&plan, 0);
             assert_eq!(plan.param_count(), ps.num_scalars(), "{arch}: param count");
             let x = Tensor::zeros(&[2, 3, 16, 16]);
             let (y, _) = net.forward(&ps, &x, &ForwardCtx::eval()).unwrap();
@@ -347,6 +617,67 @@ mod tests {
                 "{arch}: shape"
             );
             assert!(plan.flops(&[2, 3, 16, 16]).unwrap() > 0, "{arch}: flops");
+        }
+    }
+
+    /// Parameter names in walk order, and the channel count of each
+    /// BatchNorm in walk order.
+    fn walk(plan: &Plan, names: &mut Vec<String>, bns: &mut Vec<usize>) {
+        for l in plan.layers() {
+            let n = &l.name;
+            match &l.kind {
+                LayerKind::Conv2d { bias, .. } | LayerKind::Linear { bias, .. } => {
+                    names.push(format!("{n}.weight"));
+                    if *bias {
+                        names.push(format!("{n}.bias"));
+                    }
+                }
+                LayerKind::DepthwiseConv2d { .. } => names.push(format!("{n}.weight")),
+                LayerKind::BatchNorm2d { channels: c } | LayerKind::BatchNorm1d { features: c } => {
+                    names.push(format!("{n}.gamma"));
+                    names.push(format!("{n}.beta"));
+                    bns.push(*c);
+                }
+                LayerKind::Residual { main, skip } => {
+                    walk(main, names, bns);
+                    if let Some(s) = skip {
+                        walk(s, names, bns);
+                    }
+                }
+                LayerKind::Block(p) => walk(p, names, bns),
+                LayerKind::Relu
+                | LayerKind::Relu6
+                | LayerKind::MaxPool2d { .. }
+                | LayerKind::AvgPool2d { .. }
+                | LayerKind::GlobalAvgPool => {}
+            }
+        }
+    }
+
+    /// The invariant cq-infer's positional batch-norm consumption relies
+    /// on: parameters register in plan walk order, and state tensors are
+    /// the (running mean, running var) pair of each BatchNorm in the same
+    /// order.
+    #[test]
+    fn params_and_state_follow_plan_walk_order() {
+        for arch in Arch::all() {
+            for cfg in [
+                EncoderConfig::new(arch, 2),
+                EncoderConfig::new(arch, 2).with_proj(8, 4),
+                EncoderConfig::new(arch, 2).with_byol_proj(8, 4),
+            ] {
+                let enc = Encoder::new(&cfg, 1).unwrap();
+                let (plan, _, _) = encoder_plan(&cfg).unwrap();
+                let (mut names, mut bns) = (Vec::new(), Vec::new());
+                walk(&plan, &mut names, &mut bns);
+                let got: Vec<&str> = enc.params().iter().map(|(_, n, _)| n).collect();
+                assert_eq!(got, names, "{cfg:?}: parameter names");
+                let state = enc.state_tensors();
+                assert_eq!(state.len(), 2 * bns.len(), "{cfg:?}: state count");
+                for (pair, &c) in state.chunks(2).zip(&bns) {
+                    assert!(pair.iter().all(|t| t.dims() == [c]), "{cfg:?}");
+                }
+            }
         }
     }
 
@@ -375,6 +706,12 @@ mod tests {
         let enc = Encoder::new(&cfg, 1).unwrap();
         let (plan, _, _) = encoder_plan(&cfg).unwrap();
         assert_eq!(plan.param_count(), enc.num_params());
+    }
+
+    #[test]
+    fn resnet_plan_rejects_mobilenet() {
+        let err = resnet_plan(Arch::MobileNetV2, 4).unwrap_err();
+        assert!(err.to_string().contains("mobilenet_v2_plan"));
     }
 
     #[test]

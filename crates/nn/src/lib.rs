@@ -63,7 +63,7 @@ pub use act::{Relu, Relu6};
 pub use conv::{Conv2d, DepthwiseConv2d};
 pub use ctx::{Cache, ForwardCtx, Mode, WeightNoise};
 pub use error::NnError;
-pub use layer::{copy_state, Layer, Sequential};
+pub use layer::{copy_state, Layer, Residual, Sequential};
 pub use linear::Linear;
 pub use loss::{accuracy, mse_loss, softmax_cross_entropy, LossOutput};
 pub use norm::{BatchNorm1d, BatchNorm2d};

@@ -1,24 +1,28 @@
-//! Static shape, parameter and FLOP analysis over layer stacks.
+//! Static shape, parameter and FLOP analysis over layer stacks, and the
+//! builder of every runtime network.
 //!
-//! A [`Plan`] is a symbolic mirror of a [`crate::Sequential`] network: the
-//! same layers, but described by their configuration instead of their
-//! weights. Interpreting a plan infers every intermediate shape, parameter
-//! count and FLOP cost *without allocating a single tensor*, and rejects
-//! invalid stacks (channel mismatches, conv geometry that would underflow,
-//! projector dimensions that do not line up) with a layer-attributed
-//! [`SpecError`] — before any training-time allocation happens.
+//! A [`Plan`] describes a network by its layers' configuration instead of
+//! their weights. Interpreting a plan infers every intermediate shape,
+//! parameter count and FLOP cost *without allocating a single tensor*, and
+//! rejects invalid stacks (channel mismatches, conv geometry that would
+//! underflow, projector dimensions that do not line up) with a
+//! layer-attributed [`SpecError`]. [`Plan::instantiate`] then builds the
+//! runtime [`crate::Sequential`] from the same plan, so the network that
+//! is checked and the network that is trained are one description.
 //!
-//! The model crates build a plan alongside every real network (see
-//! `cq-models`); constructors run [`Plan::infer`] on a nominal input so a
-//! bad configuration fails at build time with a message naming the exact
-//! layer, and the `cq-check` binary runs the same pass over every built-in
-//! experiment configuration as a CI gate.
+//! The model crates describe every network as a plan (see `cq-models`);
+//! constructors run [`Plan::infer`] on a nominal input, so a bad
+//! configuration fails with a message naming the exact layer before any
+//! weight is allocated, and then instantiate the plan. The `cq-check`
+//! binary runs the same pass over every built-in experiment configuration
+//! as a CI gate.
 //!
 //! # Example
 //!
 //! ```
 //! use cq_nn::spec::{LayerKind, Plan};
 //! use cq_tensor::Conv2dSpec;
+//! use rand::SeedableRng;
 //!
 //! let mut plan = Plan::new();
 //! plan.push("stem.conv", LayerKind::Conv2d {
@@ -27,12 +31,23 @@
 //! plan.push("gap", LayerKind::GlobalAvgPool);
 //! assert_eq!(plan.infer(&[2, 3, 16, 16])?, vec![2, 8]);
 //! assert_eq!(plan.param_count(), 3 * 8 * 9 + 2 * 8);
+//!
+//! let mut ps = cq_nn::ParamSet::new();
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+//! let _net = plan.instantiate(&mut ps, &mut rng);
+//! assert_eq!(ps.num_scalars(), plan.param_count());
 //! # Ok::<(), cq_nn::spec::SpecError>(())
 //! ```
 
 use std::fmt;
 
 use cq_tensor::Conv2dSpec;
+use rand::Rng;
+
+use crate::{
+    AvgPool2dLayer, BatchNorm1d, BatchNorm2d, Conv2d, DepthwiseConv2d, GlobalAvgPool, Layer,
+    Linear, MaxPool2dLayer, ParamSet, Relu, Relu6, Residual, Sequential,
+};
 
 /// What went wrong at a specific layer of a [`Plan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,8 +134,8 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Symbolic description of one layer, mirroring the concrete layer types
-/// of this crate (and the composite blocks of `cq-models`).
+/// Symbolic description of one layer; [`Plan::instantiate`] maps each
+/// kind to the concrete layer type named in its doc.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayerKind {
     /// Dense convolution (`crate::Conv2d`).
@@ -176,15 +191,18 @@ pub enum LayerKind {
     },
     /// Global average pooling `[N, C, H, W] -> [N, C]`.
     GlobalAvgPool,
-    /// Two-branch residual composite (`BasicBlock` / `InvertedResidual`):
-    /// `out = main(x) + skip(x)`, identity skip when `skip` is `None`.
+    /// Two-branch residual (`crate::Residual`): `out = main(x) + skip(x)`,
+    /// identity skip when `skip` is `None`. As the first layer of a
+    /// [`LayerKind::Block`], the block's remaining layers become the
+    /// residual's tail and run in the same fused chain.
     Residual {
         /// The main branch.
         main: Plan,
         /// The projection skip; `None` = identity.
         skip: Option<Plan>,
     },
-    /// An inlined sub-plan (a composite block without a residual sum).
+    /// A composite block: a nested `crate::Sequential`, or a
+    /// `crate::Residual` with a tail when its first layer is a residual.
     Block(Plan),
 }
 
@@ -244,6 +262,15 @@ impl Plan {
     /// The layers, in order.
     pub fn layers(&self) -> &[LayerSpec] {
         &self.layers
+    }
+
+    /// Builds the runtime network this plan describes. Walks the plan in
+    /// order (a residual's main branch before its skip), so parameters
+    /// register in `ps` under `<layer name>.<param>` and initial weights
+    /// draw from `rng` in walk order. Shapes are not checked here: run
+    /// [`Plan::infer`] first.
+    pub fn instantiate<R: Rng>(&self, ps: &mut ParamSet, rng: &mut R) -> Sequential {
+        instantiate_layers(&self.layers, ps, rng)
     }
 
     /// Infers the output shape for `input`, checking every layer.
@@ -331,6 +358,66 @@ impl Plan {
 /// shape checks and FLOP formulas (see `Graph::lower`).
 fn infer_layer(layer: &LayerSpec, dims: &[usize]) -> Result<(Vec<usize>, u64), SpecError> {
     crate::graph::infer_layer_via_graph(layer, dims)
+}
+
+fn instantiate_layers<R: Rng>(layers: &[LayerSpec], ps: &mut ParamSet, rng: &mut R) -> Sequential {
+    let mut net = Sequential::new();
+    for layer in layers {
+        net.push_boxed(instantiate_layer(layer, ps, rng));
+    }
+    net
+}
+
+fn instantiate_layer<R: Rng>(layer: &LayerSpec, ps: &mut ParamSet, rng: &mut R) -> Box<dyn Layer> {
+    let name = layer.name.as_str();
+    match &layer.kind {
+        &LayerKind::Conv2d {
+            in_ch,
+            out_ch,
+            spec,
+            bias,
+        } => Box::new(Conv2d::new(ps, name, in_ch, out_ch, spec, bias, rng)),
+        &LayerKind::DepthwiseConv2d { channels, spec } => {
+            Box::new(DepthwiseConv2d::new(ps, name, channels, spec, rng))
+        }
+        &LayerKind::BatchNorm2d { channels } => Box::new(BatchNorm2d::new(ps, name, channels)),
+        &LayerKind::BatchNorm1d { features } => Box::new(BatchNorm1d::new(ps, name, features)),
+        &LayerKind::Linear {
+            in_features,
+            out_features,
+            bias,
+        } => Box::new(Linear::new(ps, name, in_features, out_features, bias, rng)),
+        LayerKind::Relu => Box::new(Relu::new()),
+        LayerKind::Relu6 => Box::new(Relu6::new()),
+        &LayerKind::MaxPool2d { spec } => Box::new(MaxPool2dLayer::new(spec)),
+        &LayerKind::AvgPool2d { spec } => Box::new(AvgPool2dLayer::new(spec)),
+        LayerKind::GlobalAvgPool => Box::new(GlobalAvgPool::new()),
+        LayerKind::Residual { main, skip } => {
+            Box::new(instantiate_residual(main, skip, &[], ps, rng))
+        }
+        LayerKind::Block(plan) => match plan.layers.split_first() {
+            Some((
+                LayerSpec {
+                    kind: LayerKind::Residual { main, skip },
+                    ..
+                },
+                tail,
+            )) => Box::new(instantiate_residual(main, skip, tail, ps, rng)),
+            _ => Box::new(plan.instantiate(ps, rng)),
+        },
+    }
+}
+
+fn instantiate_residual<R: Rng>(
+    main: &Plan,
+    skip: &Option<Plan>,
+    tail: &[LayerSpec],
+    ps: &mut ParamSet,
+    rng: &mut R,
+) -> Residual {
+    let main = main.instantiate(ps, rng);
+    let skip = skip.as_ref().map(|s| s.instantiate(ps, rng));
+    Residual::new(main, skip, instantiate_layers(tail, ps, rng))
 }
 
 fn param_count_layer(layer: &LayerSpec) -> usize {

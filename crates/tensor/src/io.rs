@@ -56,10 +56,11 @@ pub fn read_tensor<R: Read>(mut r: R) -> Result<Tensor> {
         r.read_exact(&mut b)?;
         dims.push(u64::from_le_bytes(b) as usize);
     }
-    let len: usize = dims.iter().product();
-    if len > (1 << 31) {
-        return Err(TensorError::Io(format!("implausible element count {len}")));
-    }
+    let len = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .filter(|&len| len <= 1 << 31)
+        .ok_or_else(|| TensorError::Io(format!("implausible shape {dims:?}")))?;
     let mut data = vec![0.0f32; len];
     let mut buf = [0u8; 4];
     for v in &mut data {
@@ -110,6 +111,21 @@ mod tests {
         write_tensor(&mut buf, &t).unwrap();
         buf.truncate(buf.len() - 2);
         assert!(read_tensor(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn overflowing_shape_rejected() {
+        // dims [2^33, 2^33]: the element count overflows usize
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        for _ in 0..2 {
+            buf.extend_from_slice(&(1u64 << 33).to_le_bytes());
+        }
+        assert!(matches!(
+            read_tensor(buf.as_slice()),
+            Err(TensorError::Io(_))
+        ));
     }
 
     #[test]
